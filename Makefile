@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt-check vet build build-debug test race invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate paperbench clean
+.PHONY: check fmt-check vet build build-debug test race invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate perfbench-check paperbench clean
 
 check: fmt-check vet build build-debug race
 
@@ -116,6 +116,22 @@ bench-kernel-gate:
 	$(GO) test -count=1 -timeout 20m ./internal/core -run TestKernelBenchGuard
 	$(GO) run ./cmd/paperbench -bench-kernel /tmp/ibcc-bench-gate.json \
 		-bench-events 8000000 -bench-baseline BENCH_kernel.json
+
+# Trajectory pin for the end-to-end benchmark: one short pass of every
+# perfbench workload (radix 18 and radix 36), each simulation's output
+# signature checked against the committed perfbench/signatures.json.
+# run.sh exits 0 on a signature mismatch, so the verdict is read from
+# the final JSON line: it must report "correct":true and "failed":0.
+# This is the only trajectory check at radix 36; the golden digests
+# run at radix 12.
+perfbench-check:
+	@mkdir -p .bench_build
+	bash perfbench/run.sh --workload all --seed 1 --seconds 1 > .bench_build/perfbench-check.out
+	@tail -n 1 .bench_build/perfbench-check.out | grep -q '^{"correct":true,' && \
+		tail -n 1 .bench_build/perfbench-check.out | grep -q '"failed":0,' || { \
+		tail -n 1 .bench_build/perfbench-check.out | cut -c 1-200; \
+		echo "perfbench-check: a simulation's signature differs from perfbench/signatures.json"; exit 1; }
+	@echo "perfbench-check: every workload matches perfbench/signatures.json"
 
 # Quick end-to-end smoke: one figure, parallel, with artifacts.
 paperbench:

@@ -123,8 +123,11 @@ func (n *Network) HeldPackets() int { return n.Census().Total() }
 // CheckCreditBounds verifies the credit-accounting bounds that hold at
 // every event boundary, not just at quiescence: every transmitter's
 // per-VL credit count within [0, downstream buffer capacity], every
-// receiver's free space within [0, its capacity], and no negative
-// queue accounting anywhere. It returns the first violation found.
+// receiver's free space within [0, its capacity], no negative queue
+// accounting anywhere, and on every switch output the arbiter's books
+// agreeing with its VoQs — pending equal to the packets queued, and the
+// occupancy bitmap marking exactly the non-empty VoQs. It returns the
+// first violation found.
 func (n *Network) CheckCreditBounds() error {
 	for _, h := range n.hcas {
 		for v, cr := range h.out.credits {
@@ -158,8 +161,17 @@ func (n *Network) CheckCreditBounds() error {
 						sw.index, pi, v, cr, dcap)
 				}
 			}
-			if op.pending < 0 {
-				return fmt.Errorf("fabric: switch %d port %d pending %d packets", sw.index, pi, op.pending)
+			queued := 0
+			for k := range op.voqs {
+				c := op.voqs[k].n
+				queued += c
+				if set := op.occ[k>>6]&(1<<(k&63)) != 0; set != (c > 0) {
+					return fmt.Errorf("fabric: switch %d port %d voq %d holds %d packets but occupancy bit is %v",
+						sw.index, pi, k, c, set)
+				}
+			}
+			if op.pending != queued {
+				return fmt.Errorf("fabric: switch %d port %d pending %d packets, voqs hold %d", sw.index, pi, op.pending, queued)
 			}
 			for v, qb := range op.qbytes {
 				if qb < 0 {

@@ -94,11 +94,27 @@ func queueRefs(t *ckpt.PacketTable, q *pktQueue) []int {
 	return out
 }
 
-func restoreQueue(t *ckpt.PacketTable, q *pktQueue, refs []int) {
+// restoreQueue refills q from snapshot refs. A queue holds packets, so
+// every ref must name a table entry: 0 (nil) or an index past the
+// table is a corrupt snapshot.
+func restoreQueue(t *ckpt.PacketTable, q *pktQueue, refs []int) error {
 	*q = pktQueue{}
 	for _, r := range refs {
+		if r < 1 || r > t.Len() {
+			return fmt.Errorf("packet ref %d outside [1, %d]", r, t.Len())
+		}
 		q.Push(t.Packet(r))
 	}
+	return nil
+}
+
+// restoreSlot resolves the ref of a single in-service slot, where 0
+// means empty.
+func restoreSlot(t *ckpt.PacketTable, r int) (*ib.Packet, error) {
+	if r < 0 || r > t.Len() {
+		return nil, fmt.Errorf("packet ref %d outside [0, %d]", r, t.Len())
+	}
+	return t.Packet(r), nil
 }
 
 func exportLink(l *linkOut) LinkOutState {
@@ -180,18 +196,29 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 	}
 	for i, h := range n.hcas {
 		hs := &st.HCAs[i]
-		restoreQueue(tab, &h.obuf, hs.Obuf)
+		var err error
+		if err = restoreQueue(tab, &h.obuf, hs.Obuf); err != nil {
+			return fmt.Errorf("fabric: restore host %d staging: %w", i, err)
+		}
 		h.obufBytes = hs.ObufBytes
-		restoreQueue(tab, &h.ctrl, hs.Ctrl)
+		if err = restoreQueue(tab, &h.ctrl, hs.Ctrl); err != nil {
+			return fmt.Errorf("fabric: restore host %d control queue: %w", i, err)
+		}
 		h.dmaBusy = hs.DmaBusy
-		h.dmaPkt = tab.Packet(hs.DmaPkt)
+		if h.dmaPkt, err = restoreSlot(tab, hs.DmaPkt); err != nil {
+			return fmt.Errorf("fabric: restore host %d dma: %w", i, err)
+		}
 		if len(hs.RxFree) != len(h.rxFree) {
 			return fmt.Errorf("fabric: restore host %d: %d rx lanes, want %d", i, len(hs.RxFree), len(h.rxFree))
 		}
 		copy(h.rxFree, hs.RxFree)
-		restoreQueue(tab, &h.rxQ, hs.RxQ)
+		if err = restoreQueue(tab, &h.rxQ, hs.RxQ); err != nil {
+			return fmt.Errorf("fabric: restore host %d rx queue: %w", i, err)
+		}
 		h.sinkBusy = hs.SinkBusy
-		h.sinkPkt = tab.Packet(hs.SinkPkt)
+		if h.sinkPkt, err = restoreSlot(tab, hs.SinkPkt); err != nil {
+			return fmt.Errorf("fabric: restore host %d sink: %w", i, err)
+		}
 		if err := restoreLink(&h.out, hs.Out, fmt.Sprintf("host %d", i)); err != nil {
 			return err
 		}
@@ -231,8 +258,13 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 				return fmt.Errorf("fabric: restore switch %d port %d lane count", i, pi)
 			}
 			copy(op.qbytes, osrc.Qbytes)
+			// The arbiter indexes the ring with rr and trusts every
+			// occupied slot to hold a packet from a connected input on
+			// a real VL, so those are checked here, not at grant time.
+			if osrc.RR < 0 || osrc.RR > op.voqMask {
+				return fmt.Errorf("fabric: restore switch %d port %d rr %d outside [0, %d]", i, pi, osrc.RR, op.voqMask)
+			}
 			op.rr = osrc.RR
-			op.pending = osrc.Pending
 			for k := range op.voqs {
 				op.voqs[k] = pktQueue{}
 			}
@@ -240,8 +272,25 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 				if vs.K < 0 || vs.K >= len(op.voqs) {
 					return fmt.Errorf("fabric: restore switch %d port %d voq %d of %d", i, pi, vs.K, len(op.voqs))
 				}
-				restoreQueue(tab, &op.voqs[vs.K], vs.Pkts)
+				if in, vl := vs.K>>op.vlShift, vs.K&(1<<op.vlShift-1); in >= len(sw.in) || sw.in[in] == nil || vl >= len(op.qbytes) {
+					return fmt.Errorf("fabric: restore switch %d port %d voq %d is not a connected (in-port, VL) pair", i, pi, vs.K)
+				}
+				if err := restoreQueue(tab, &op.voqs[vs.K], vs.Pkts); err != nil {
+					return fmt.Errorf("fabric: restore switch %d port %d voq %d: %w", i, pi, vs.K, err)
+				}
 			}
+			restored := 0
+			clear(op.occ)
+			for k := range op.voqs {
+				if c := op.voqs[k].n; c > 0 {
+					restored += c
+					op.occ[k>>6] |= 1 << (k & 63)
+				}
+			}
+			if osrc.Pending != restored {
+				return fmt.Errorf("fabric: restore switch %d port %d pending %d, but its voqs hold %d packets", i, pi, osrc.Pending, restored)
+			}
+			op.pending = restored
 		}
 	}
 	n.pool.RestoreStats(st.Pool)
@@ -348,6 +397,9 @@ func (c *Codec) swPort(a0, a1 int64) (*SwitchNode, int, error) {
 func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(*sim.Event), ok bool, err error) {
 	switch rec.Kind {
 	case kindArrival:
+		if rec.Pkt < 1 || rec.Pkt > c.tab.Len() {
+			return nil, nil, true, fmt.Errorf("fabric: arrival of packet ref %d outside [1, %d]", rec.Pkt, c.tab.Len())
+		}
 		a := c.net.popArrival()
 		a.p = c.tab.Packet(rec.Pkt)
 		a.drop = rec.B1

@@ -37,18 +37,24 @@ type swInPort struct {
 //
 // The VoQ array is a power-of-two ring indexed voqs[inPort<<vlShift|vl]
 // (mirroring pktQueue's mask layout): ports and VLs are padded up to
-// powers of two so the arbiter scan wraps with a mask instead of a
-// compare-and-subtract, and recovering (inPort, vl) from a ring index
-// is a shift/mask instead of a division. Padding slots hold permanently
-// empty queues the scan skips over. Cyclic lexicographic order over the
-// real (inPort, vl) pairs — and therefore the grant sequence — is
-// identical to the unpadded layout; the golden trajectory tests pin
-// this.
+// powers of two so the round-robin pointer wraps with a mask, and
+// recovering the input port from a ring index is a shift. occ is the
+// ring's occupancy bitmap, bit k set iff voqs[k] is non-empty: enqueue
+// sets the bit when a queue fills from empty, a grant clears it when
+// the Pop empties the queue. The arbiter finds its candidates with
+// TrailingZeros64 over occ instead of peeking every slot, so an empty
+// or padding slot costs one bit rather than a cache line, and a grant
+// costs O(non-empty VoQs + ring/64). The set bits, visited cyclically
+// from rr, are exactly the non-empty real (inPort, vl) pairs in the
+// cyclic lexicographic order of the unpadded layout, so the grant
+// sequence is unchanged; the golden trajectory tests and
+// TestArbiterMatchesLinearScan pin this.
 type swOutPort struct {
 	linkOut
 	sw      *SwitchNode
 	port    int
 	voqs    []pktQueue // pow2 ring: [inPort<<vlShift | vl]
+	occ     []uint64   // occupancy bitmap over voqs: bit k iff voqs[k].n > 0
 	qbytes  []int      // queued bytes per VL across all inputs
 	rr      int        // arbitration pointer into voqs
 	vlShift uint       // log2 of the padded per-input VL stride
@@ -79,6 +85,7 @@ func newSwitchNode(n *Network, node *topo.Node, index int) *SwitchNode {
 		op.vlShift = uint(bits.Len(uint(n.cfg.NumVLs - 1)))
 		op.voqs = make([]pktQueue, pow2ceil(nports)<<op.vlShift)
 		op.voqMask = len(op.voqs) - 1
+		op.occ = make([]uint64, (len(op.voqs)+63)/64)
 		op.qbytes = make([]int, n.cfg.NumVLs)
 		op.txAct = swTxAct{op}
 		sw.out[p] = op
@@ -124,7 +131,12 @@ func (op *swOutPort) enqueue(inPort int, p *ib.Packet) {
 		}
 		n.hooks.SwitchEnqueue(op.sw.index, op.port, p, st)
 	}
-	op.voqs[inPort<<op.vlShift|int(p.VL)].Push(p)
+	k := inPort<<op.vlShift | int(p.VL)
+	q := &op.voqs[k]
+	if q.n == 0 {
+		op.occ[k>>6] |= 1 << (k & 63)
+	}
+	q.Push(p)
 	op.qbytes[p.VL] += p.WireBytes()
 	op.pending++
 	n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, p.VL, op.qbytes[p.VL])
@@ -134,65 +146,82 @@ func (op *swOutPort) enqueue(inPort int, p *ib.Packet) {
 }
 
 // tryTx runs the output arbiter: starting from the round-robin pointer,
-// grant the first VoQ whose head packet has downstream credits. The
-// grant frees input-buffer space (returning a credit upstream), gives
-// the congestion-control hook a chance to FECN-mark the departing
-// packet, and occupies the serializer.
+// grant the first non-empty VoQ whose head packet has downstream
+// credits. It walks the set bits of occ cyclically from rr — the part
+// of rr's word at or above rr, every other word in ring order, then the
+// part of rr's word below rr — so each non-empty VoQ is tried at most
+// once, in ring order. The grant frees input-buffer space (returning a
+// credit upstream), gives the congestion-control hook a chance to
+// FECN-mark the departing packet, and occupies the serializer.
 func (op *swOutPort) tryTx() {
 	if op.busy || op.down || op.pending == 0 {
 		return
 	}
 	n := op.net
-	total := len(op.voqs)
-	for i := 0; i < total; i++ {
-		k := (op.rr + i) & op.voqMask
-		q := &op.voqs[k]
-		head := q.Peek()
-		if head == nil {
-			continue
-		}
-		// The packet may continue on a different VL (dateline
-		// switching); the grant needs credits on the outgoing VL.
-		vlNext := head.VL
-		if n.hooks.SelectVL != nil {
-			vlNext = n.hooks.SelectVL(op.sw.index, k>>op.vlShift, op.port, head)
-		}
-		if !op.canSend(vlNext, head.WireBytes()) {
-			n.bus.CreditStalled(n.simr.Now(), true, op.sw.index, op.port, vlNext, op.credits[vlNext], head.WireBytes())
-			continue
-		}
-		op.rr = (k + 1) & op.voqMask
-		q.Pop()
-		op.pending--
-		wire := head.WireBytes()
-		vl := int(head.VL)
-
-		op.qbytes[vl] -= wire
-		// Congestion-control hook sees the queue left behind the
-		// departing packet and the credit state after this grant.
-		if n.hooks.SwitchDeparture != nil && head.Type == ib.DataPacket {
-			st := PortVLState{
-				QueuedBytes:   op.qbytes[vl],
-				CreditBytes:   op.credits[vl] - wire,
-				CapacityBytes: n.cfg.SwitchIbufBytes,
-				HostPort:      op.hostFacing,
+	w := op.rr >> 6
+	below := uint64(1)<<(op.rr&63) - 1
+	word := op.occ[w] &^ below
+	for i := len(op.occ); ; i-- {
+		for ; word != 0; word &= word - 1 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			q := &op.voqs[k]
+			head := q.Peek()
+			// The packet may continue on a different VL (dateline
+			// switching); the grant needs credits on the outgoing VL.
+			vlNext := head.VL
+			if n.hooks.SelectVL != nil {
+				vlNext = n.hooks.SelectVL(op.sw.index, k>>op.vlShift, op.port, head)
 			}
-			n.hooks.SwitchDeparture(op.sw.index, op.port, head, st)
+			if !op.canSend(vlNext, head.WireBytes()) {
+				n.bus.CreditStalled(n.simr.Now(), true, op.sw.index, op.port, vlNext, op.credits[vlNext], head.WireBytes())
+				continue
+			}
+			op.rr = (k + 1) & op.voqMask
+			q.Pop()
+			if q.n == 0 {
+				op.occ[w] &^= 1 << (k & 63)
+			}
+			op.pending--
+			wire := head.WireBytes()
+			vl := int(head.VL)
+
+			op.qbytes[vl] -= wire
+			// Congestion-control hook sees the queue left behind the
+			// departing packet and the credit state after this grant.
+			if n.hooks.SwitchDeparture != nil && head.Type == ib.DataPacket {
+				st := PortVLState{
+					QueuedBytes:   op.qbytes[vl],
+					CreditBytes:   op.credits[vl] - wire,
+					CapacityBytes: n.cfg.SwitchIbufBytes,
+					HostPort:      op.hostFacing,
+				}
+				n.hooks.SwitchDeparture(op.sw.index, op.port, head, st)
+			}
+
+			// Free the input buffer slot and return the credit upstream
+			// on the VL the packet occupied locally, then move it to its
+			// outgoing VL.
+			ip := op.sw.in[k>>op.vlShift]
+			ip.free[head.VL] += wire
+			n.sendCredit(ip.up, head.VL, wire)
+			head.VL = vlNext
+
+			n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, ib.VL(vl), op.qbytes[vl])
+			n.bus.PacketSent(n.simr.Now(), true, op.sw.index, op.port, head)
+			ser := op.transmit(head)
+			n.simr.ScheduleAction(ser, op.txAct)
+			return
 		}
-
-		// Free the input buffer slot and return the credit upstream
-		// on the VL the packet occupied locally, then move it to its
-		// outgoing VL.
-		ip := op.sw.in[k>>op.vlShift]
-		ip.free[head.VL] += wire
-		n.sendCredit(ip.up, head.VL, wire)
-		head.VL = vlNext
-
-		n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, ib.VL(vl), op.qbytes[vl])
-		n.bus.PacketSent(n.simr.Now(), true, op.sw.index, op.port, head)
-		ser := op.transmit(head)
-		n.simr.ScheduleAction(ser, op.txAct)
-		return
+		if i == 0 {
+			return
+		}
+		if w++; w == len(op.occ) {
+			w = 0
+		}
+		word = op.occ[w]
+		if i == 1 {
+			word &= below
+		}
 	}
 }
 
